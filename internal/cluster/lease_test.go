@@ -173,3 +173,105 @@ func TestLeaseLogMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// leaseFixtureDir holds a lease log written by an earlier build
+// (leases.wal) and the live table it must replay to (leases.json).
+var leaseFixtureDir = filepath.Join("testdata", "leases")
+
+// TestLeaseLogFixtureReplays reopens the committed lease log and compares
+// the replayed table with the pinned one, so the lease framing and entry
+// encoding stay readable across refactors. When the fixture is absent it
+// is written (then committed) rather than compared.
+func TestLeaseLogFixtureReplays(t *testing.T) {
+	wal := filepath.Join(leaseFixtureDir, "leases.wal")
+	if _, err := os.Stat(wal); os.IsNotExist(err) {
+		writeLeaseFixture(t)
+	}
+	raw, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "leases.wal"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := openLeaseLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close()
+	got, err := json.MarshalIndent(sortedLeases(l), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(leaseFixtureDir, "leases.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("replayed lease table drifted:\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+func sortedLeases(l *leaseLog) []Lease {
+	all := l.all()
+	for i := 1; i < len(all); i++ {
+		for j := i; j > 0 && all[j].JobID < all[j-1].JobID; j-- {
+			all[j], all[j-1] = all[j-1], all[j]
+		}
+	}
+	return all
+}
+
+// writeLeaseFixture records grants, renewals (one splicing at its start
+// offset) and a retirement, then pins the replayed table.
+func writeLeaseFixture(t *testing.T) {
+	ctx := context.Background()
+	if err := os.MkdirAll(leaseFixtureDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := openLeaseLog(leaseFixtureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := json.RawMessage(`{"graph":{"ring":["3","1","4","1","5"]},"v":2,"grid":8}`)
+	for _, ls := range []*Lease{
+		{JobID: "ja", Node: "http://a", Kind: "sweep", Key: "ka", Expiry: 100, Body: body},
+		{JobID: "jb", Node: "http://b", Kind: "ksybil", Key: "kb", Expiry: 200, Body: body},
+		{JobID: "jc", Node: "http://c", Kind: "sweep", Key: "kc", Expiry: 300, Body: body},
+	} {
+		if err := l.grant(ctx, ls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		id    string
+		exp   int64
+		start int
+		pts   []server.WireSweepPoint
+		next  int
+	}{
+		{"ja", 150, 0, pts("0", "1", "1/8", "9/8"), 2},
+		{"jb", 250, 0, pts("0,0,5", "3/2"), 1},
+		{"ja", 160, 1, pts("1/8", "9/8", "1/4", "5/4"), 3},
+		{"jb", 260, 1, nil, 1},
+	}
+	for _, s := range steps {
+		if err := l.renew(ctx, s.id, time.Unix(0, s.exp), s.start, s.pts, s.next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.retire(ctx, "jc"); err != nil {
+		t.Fatal(err)
+	}
+	table, err := json.MarshalIndent(sortedLeases(l), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(leaseFixtureDir, "leases.json"), table, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
