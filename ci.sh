@@ -114,12 +114,16 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # allocation) surface here long before a full fuzzing campaign. The
 # FuzzParseGraph corpus includes the near-tight frontier rings surfaced by
 # the certificate enumerator; FuzzCertRoundTrip probes the solver-free
-# certificate checker's parsing hardening and canonical round-trip.
+# certificate checker's parsing hardening and canonical round-trip;
+# FuzzJobCheckpoint drives every job kind's checkpoint decoder, reached
+# through the job-kind table, and requires an accepted point to re-encode
+# to its own bytes.
 go test ./internal/graph -run '^$' -fuzz '^FuzzParseGraph$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzRatDecode$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzMechanismField$' -fuzztime 10s
 go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
+go test ./internal/server -run '^$' -fuzz '^FuzzJobCheckpoint$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated
 # on a fixed ring through the same path the /v1/tournament endpoint uses.

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/server"
+	"repro/internal/sybil"
 )
 
 // SweepAll runs /v1/sweep to completion, automatically resuming partial
@@ -114,28 +116,22 @@ func mergeSweep(segments []*SweepResponse, grid int) (*SweepResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: bad honest utility %q: %v", merged.Honest, err)
 	}
-	var bestW1, bestU numeric.Rat
+	pts := make([]sybil.SweepPoint, len(merged.Points))
 	for i, p := range merged.Points {
-		u, err := numeric.Parse(p.U)
-		if err != nil {
+		if pts[i].U, err = numeric.Parse(p.U); err != nil {
 			return nil, fmt.Errorf("client: bad point utility %q: %v", p.U, err)
 		}
-		w1, err := numeric.Parse(p.W1)
-		if err != nil {
+		if pts[i].W1, err = numeric.Parse(p.W1); err != nil {
 			return nil, fmt.Errorf("client: bad point w1 %q: %v", p.W1, err)
 		}
-		if i == 0 || bestU.Less(u) {
-			bestW1, bestU = w1, u
-		}
 	}
-	merged.BestW1, merged.BestU = bestW1.String(), bestU.String()
-	// Same ratio rule as the sweep itself: BestU/Honest when the honest
-	// utility is positive, the neutral 1 otherwise. (A positive BestU with
-	// zero honest utility cannot reach here — the server rejects it.)
-	if honest.Sign() > 0 {
-		merged.Ratio = bestU.Div(honest).String()
-	} else {
-		merged.Ratio = numeric.One.String()
+	// The sweep's own fold: the earliest-maximum best point and the ratio
+	// rule.
+	best := pts[scan.Best(pts, func(a, b sybil.SweepPoint) bool { return a.U.Less(b.U) })]
+	ratio, err := scan.Ratio(best.U, honest)
+	if err != nil {
+		return nil, fmt.Errorf("client: %v", err)
 	}
+	merged.BestW1, merged.BestU, merged.Ratio = best.W1.String(), best.U.String(), ratio.String()
 	return merged, nil
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/par"
+	"repro/internal/scan"
 )
 
 // Options bounds the enumeration. Zero values select defaults.
@@ -172,16 +173,6 @@ func Enumerate(o Options) ([]Spec, error) {
 	return specs, nil
 }
 
-// Count returns the number of canonical instances without materializing
-// per-instance state beyond the odometer.
-func Count(o Options) (int, error) {
-	specs, err := Enumerate(o)
-	if err != nil {
-		return 0, err
-	}
-	return len(specs), nil
-}
-
 // Outcome is the certified result of one instance. Exactly one of Ratio and
 // Err is set; a non-empty Err means the instance FAILED certification —
 // solver error, builder error, or (the interesting case) cert.Check
@@ -273,6 +264,25 @@ func parseRatio(str string) (numeric.Rat, error) {
 	return numeric.FromBig(br), nil
 }
 
+// Scan is the certification scan of an enumeration: point i certifies
+// Specs[i] on the optimizer grid. The enumeration order is fixed, so point
+// i is the same ring in every process that resumes the scan.
+type Scan struct {
+	Specs []Spec
+	Grid  int
+}
+
+// Len is the instance count.
+func (s Scan) Len() int { return len(s.Specs) }
+
+// Eval certifies instance i. A certification cut short by cancellation
+// surfaces as the context error, not as a failed instance, so an
+// interrupted scan checkpoints instead of recording a spurious failure.
+func (s Scan) Eval(ctx context.Context, i int) (Outcome, error) {
+	out := Certify(ctx, s.Specs[i], s.Grid)
+	return out, ctx.Err()
+}
+
 // Run certifies the whole enumeration in parallel and summarizes it.
 func Run(ctx context.Context, o Options) (*Summary, error) {
 	o = o.withDefaults()
@@ -280,14 +290,12 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := par.MapCtx(ctx, len(specs), o.Workers, func(ctx context.Context, i int) Outcome {
-		if err := ctx.Err(); err != nil {
-			return Outcome{Key: specs[i].Key(), Err: fmt.Sprintf("canceled: %v", err)}
-		}
-		return Certify(ctx, specs[i], o.Grid)
-	})
-	if err := ctx.Err(); err != nil {
+	res, err := scan.Run[Outcome](ctx, Scan{Specs: specs, Grid: o.Grid}, scan.Options[Outcome]{Workers: par.Workers(o.Workers)})
+	if err != nil {
 		return nil, err
 	}
-	return Summarize(outs, o.Eps)
+	if res.Partial {
+		return nil, ctx.Err()
+	}
+	return Summarize(res.Points, o.Eps)
 }

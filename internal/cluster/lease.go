@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // Lease state machine (see DESIGN.md):
@@ -23,8 +21,8 @@ import (
 //	            └── owner dead / TTL expired ──► re-placed (new grant on a
 //	                survivor, seeded with the last observed checkpoint)
 //
-// The lease log reuses the WAL framing of internal/jobs —
-// [4-byte LE length][4-byte CRC-32C][JSON payload] — with three ops:
+// The lease log is an internal/wal log (the framing of the jobs WAL) of
+// JSON entries with three ops:
 //
 //   - "grant": full lease (job ID, owner, expiry, submission body);
 //     fsync'd — an acknowledged placement must survive a router crash.
@@ -38,10 +36,6 @@ import (
 // Replay reduces the log to the live lease table: grant upserts, renew
 // advances, done deletes. A torn tail (crash mid-append) is truncated,
 // exactly like the jobs WAL.
-
-const leaseMaxFrame = 16 << 20
-
-var leaseCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Lease is one durable job placement: job ID, owning node, and the
 // checkpointed prefix the router has observed — everything needed to
@@ -76,7 +70,7 @@ type leaseEntry struct {
 type leaseLog struct {
 	mu      sync.Mutex
 	leases  map[string]*Lease
-	f       *os.File // nil in memory-only mode
+	log     *wal.Log // nil in memory-only mode
 	appends int64
 	syncs   int64
 }
@@ -89,54 +83,19 @@ func openLeaseLog(dir string) (*leaseLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: lease dir: %w", err)
 	}
-	path := filepath.Join(dir, "leases.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open lease log: %w", err)
-	}
-	valid, torn, err := l.replay(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if torn {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cluster: truncate torn lease log: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f = f
-	return l, nil
-}
-
-func (l *leaseLog) replay(r io.Reader) (valid int64, torn bool, err error) {
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			return valid, err != io.EOF, nil
-		}
-		n := binary.LittleEndian.Uint32(header[0:4])
-		if n > leaseMaxFrame {
-			return valid, true, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return valid, true, nil
-		}
-		if crc32.Checksum(payload, leaseCRC) != binary.LittleEndian.Uint32(header[4:8]) {
-			return valid, true, nil
-		}
+	log, _, err := wal.Open(filepath.Join(dir, "leases.wal"), func(off int64, payload []byte) error {
 		var e leaseEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return valid, false, fmt.Errorf("cluster: lease log entry at offset %d: %w", valid, err)
+			return fmt.Errorf("lease log entry at offset %d: %w", off, err)
 		}
 		l.applyLocked(&e)
-		valid += int64(8 + n)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	l.log = log
+	return l, nil
 }
 
 func (l *leaseLog) applyLocked(e *leaseEntry) {
@@ -171,23 +130,16 @@ func (l *leaseLog) append(ctx context.Context, e *leaseEntry, sync bool) error {
 	if err := fault.Hit(ctx, fault.SiteClusterLease); err != nil {
 		return err
 	}
-	if l.f != nil {
+	if l.log != nil {
 		payload, err := json.Marshal(e)
 		if err != nil {
 			return fmt.Errorf("cluster: encode lease entry: %w", err)
 		}
-		buf := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, leaseCRC))
-		copy(buf[8:], payload)
-		if _, err := l.f.Write(buf); err != nil {
-			return fmt.Errorf("cluster: append lease log: %w", err)
+		if err := l.log.Append(payload, sync); err != nil {
+			return fmt.Errorf("cluster: lease log: %w", err)
 		}
 		l.appends++
 		if sync {
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("cluster: sync lease log: %w", err)
-			}
 			l.syncs++
 		}
 	}
@@ -255,14 +207,11 @@ func (l *leaseLog) all() []Lease {
 func (l *leaseLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
+	err := l.log.Close()
+	l.log = nil
 	return err
 }
 

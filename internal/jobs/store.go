@@ -2,8 +2,8 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // StoreConfig tunes the durable store. Zero values select the defaults.
@@ -35,13 +36,12 @@ type Store struct {
 	dir string
 	cfg StoreConfig
 
-	mu       sync.Mutex
-	wal      *os.File
-	walBytes int64
-	jobs     map[string]*Record // by ID; live canonical copies
-	order    []*Record          // by Seq ascending (List pagination)
-	nextSeq  uint64
-	closed   bool
+	mu      sync.Mutex
+	wal     *wal.Log
+	jobs    map[string]*Record // by ID; live canonical copies
+	order   []*Record          // by Seq ascending (List pagination)
+	nextSeq uint64
+	closed  bool
 
 	appends, syncs, compactions atomic.Int64
 	// recovery facts, fixed at Open
@@ -80,32 +80,18 @@ func Open(dir string, cfg StoreConfig) (*Store, error) {
 		}
 	}
 
-	walPath := filepath.Join(dir, walName)
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open wal: %w", err)
-	}
-	valid, torn, err := readFrames(f, func(e *walEntry) error {
+	log, torn, err := wal.Open(filepath.Join(dir, walName), func(off int64, payload []byte) error {
+		var e walEntry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return fmt.Errorf("jobs: wal entry at offset %d: %w", off, err)
+		}
 		st.replayed++
-		return st.applyLocked(e)
+		return st.applyLocked(&e)
 	})
 	if err != nil {
-		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	st.tornTail = torn
-	if torn {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobs: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek wal: %w", err)
-	}
-	st.wal = f
-	st.walBytes = valid
+	st.wal, st.tornTail = log, torn
 
 	// Fix up the invariant NextIndex == len(Points): an un-synced
 	// checkpoint suffix may have been lost while a later (synced) record
@@ -190,15 +176,11 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
-	if err := st.wal.Sync(); err != nil {
-		st.wal.Close()
-		return fmt.Errorf("jobs: sync wal on close: %w", err)
+	if err := st.wal.Close(); err != nil {
+		return fmt.Errorf("jobs: close wal: %w", err)
 	}
-	return st.wal.Close()
+	return nil
 }
-
-// Dir returns the store's data directory.
-func (st *Store) Dir() string { return st.dir }
 
 // appendLocked writes one WAL frame, optionally fsync'ing it (state
 // transitions sync; checkpoint deltas do not — any later sync makes them
@@ -211,19 +193,15 @@ func (st *Store) appendLocked(ctx context.Context, e *walEntry, sync bool) error
 	if err := fault.Hit(ctx, fault.SiteJobsWAL); err != nil {
 		return err
 	}
-	frame, err := encodeFrame(e)
+	payload, err := json.Marshal(e)
 	if err != nil {
-		return err
+		return fmt.Errorf("jobs: encode wal entry: %w", err)
 	}
-	if _, err := st.wal.Write(frame); err != nil {
-		return fmt.Errorf("jobs: append wal: %w", err)
+	if err := st.wal.Append(payload, sync); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
-	st.walBytes += int64(len(frame))
 	st.appends.Add(1)
 	if sync {
-		if err := st.wal.Sync(); err != nil {
-			return fmt.Errorf("jobs: sync wal: %w", err)
-		}
 		st.syncs.Add(1)
 	}
 	return nil
@@ -235,7 +213,7 @@ func (st *Store) appendLocked(ctx context.Context, e *walEntry, sync bool) error
 // inside the append (before the publish) would truncate the just-written
 // frame without capturing its effect.
 func (st *Store) maybeCompactLocked() error {
-	if st.cfg.CompactBytes > 0 && st.walBytes > st.cfg.CompactBytes {
+	if st.cfg.CompactBytes > 0 && st.wal.Size() > st.cfg.CompactBytes {
 		return st.compactLocked()
 	}
 	return nil
@@ -498,16 +476,9 @@ func (st *Store) compactLocked() error {
 	if err := writeSnapshot(st.dir, snap); err != nil {
 		return err
 	}
-	if err := st.wal.Truncate(0); err != nil {
-		return fmt.Errorf("jobs: truncate wal after compaction: %w", err)
+	if err := st.wal.Reset(); err != nil {
+		return fmt.Errorf("jobs: reset wal after compaction: %w", err)
 	}
-	if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("jobs: rewind wal after compaction: %w", err)
-	}
-	if err := st.wal.Sync(); err != nil {
-		return fmt.Errorf("jobs: sync truncated wal: %w", err)
-	}
-	st.walBytes = 0
 	st.compactions.Add(1)
 	return nil
 }
@@ -528,7 +499,7 @@ type StoreStats struct {
 // Stats snapshots the store counters.
 func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
-	jobs, walBytes := len(st.jobs), st.walBytes
+	jobs, walBytes := len(st.jobs), st.wal.Size()
 	st.mu.Unlock()
 	return StoreStats{
 		Jobs:        jobs,

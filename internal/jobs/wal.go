@@ -1,29 +1,9 @@
 package jobs
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
-// The write-ahead log is a sequence of self-delimiting frames:
-//
-//	[4-byte little-endian payload length][4-byte CRC-32C of payload][payload]
-//
-// The payload is one JSON walEntry. Replay stops at the first frame that is
-// short, oversized, or fails its checksum — a torn tail from a crash
-// mid-write is discarded, never misparsed. Everything before the tear was
-// either fsync'd (state transitions) or is a checkpoint delta whose loss
-// only costs recomputation.
-
-// walMaxFrame bounds one frame so a corrupt length field cannot demand an
-// outsized allocation. A frame holds at most one job record or one
-// checkpoint delta; both are far smaller.
-const walMaxFrame = 16 << 20
-
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
+// The write-ahead log is a sequence of internal/wal frames, each payload
+// one JSON walEntry. Everything before a torn tail was either fsync'd
+// (state transitions) or is a checkpoint delta whose loss only costs
+// recomputation.
 
 // walEntry is one logged mutation. Op selects the shape:
 //
@@ -40,72 +20,4 @@ type walEntry struct {
 	ID     string  `json:"id,omitempty"`
 	Start  int     `json:"start,omitempty"`
 	Points []Point `json:"points,omitempty"`
-}
-
-// encodeFrame renders one entry as a single byte slice so the file write is
-// one syscall — a killed process never leaves a half-written header with a
-// valid-looking payload behind it.
-func encodeFrame(e *walEntry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: encode wal entry: %w", err)
-	}
-	if len(payload) > walMaxFrame {
-		return nil, fmt.Errorf("jobs: wal entry of %d bytes exceeds frame limit %d", len(payload), walMaxFrame)
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, walCRC))
-	copy(buf[8:], payload)
-	return buf, nil
-}
-
-// readFrames decodes frames from r until EOF or the first damaged frame,
-// invoking fn per entry. It returns the byte offset of the valid prefix —
-// the caller truncates the log there — and whether a damaged tail was
-// dropped. Errors from fn abort the scan.
-func readFrames(r io.Reader, fn func(*walEntry) error) (valid int64, torn bool, err error) {
-	br := &countingReader{r: r}
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			// Clean EOF ends the log; a partial header is a torn tail.
-			return valid, err != io.EOF, nil
-		}
-		n := binary.LittleEndian.Uint32(header[0:4])
-		if n > walMaxFrame {
-			return valid, true, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return valid, true, nil
-		}
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(header[4:8]) {
-			return valid, true, nil
-		}
-		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			// A frame that passes its checksum but fails to parse is not a
-			// torn write — it is a logic error or deliberate corruption, and
-			// silently dropping the rest of the log would hide it.
-			return valid, false, fmt.Errorf("jobs: wal entry at offset %d: %w", valid, err)
-		}
-		if err := fn(&e); err != nil {
-			return valid, false, err
-		}
-		valid = br.n
-	}
-}
-
-// countingReader tracks how many bytes have been consumed, so replay knows
-// where the valid prefix ends.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,15 +2,10 @@ package mechanism
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/numeric"
-	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sybil"
 )
 
@@ -18,18 +13,12 @@ import (
 // g under mechanism m, over the same uniform w1 grid as sybil.RingSweep.
 // Mechanisms implementing RingSweeper (BD) are delegated to their native
 // sweep engine — bit-identical to the pre-registry path; everything else is
-// swept generically, one graph.TwoSplitOnRing + m.Allocate per grid point,
-// with sybil's exact semantics: w1_i = W·i/Grid, earliest-maximum best rule,
-// partial-on-cancellation prefix results, and the same ratio conventions.
+// swept generically through sybil.Sweep, one graph.TwoSplitOnRing +
+// m.Allocate per grid point (Splitter), so the grid, best-point rule,
+// partial-on-cancellation prefix and ratio conventions are sybil's own.
 func RingSweep(ctx context.Context, m Mechanism, g *graph.Graph, v int, opts sybil.SweepOptions) (*sybil.SweepResult, error) {
 	if rs, ok := m.(RingSweeper); ok {
 		return rs.SweepRing(ctx, g, v, opts)
-	}
-	if opts.Grid <= 0 {
-		opts.Grid = 64
-	}
-	if opts.Start < 0 || opts.Start > opts.Grid {
-		return nil, fmt.Errorf("mechanism: start index %d outside [0, %d]", opts.Start, opts.Grid)
 	}
 	if !g.IsRing() {
 		return nil, fmt.Errorf("mechanism: graph is not a ring")
@@ -37,92 +26,24 @@ func RingSweep(ctx context.Context, m Mechanism, g *graph.Graph, v int, opts syb
 	if v < 0 || v >= g.N() {
 		return nil, fmt.Errorf("mechanism: vertex %d outside [0, %d)", v, g.N())
 	}
-	ctx, span := obs.Start(ctx, "mechanism.ring_sweep")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("mechanism", m.Name())
-		span.SetAttr("grid", strconv.Itoa(opts.Grid))
-	}
 	honestAlloc, err := m.Allocate(ctx, g)
 	if err != nil {
 		return nil, fmt.Errorf("mechanism: honest allocation: %w", err)
 	}
-	honest := honestAlloc.Utility(v)
-	W := g.Weight(v)
-	total := opts.Grid + 1 - opts.Start
-	pts := make([]sybil.SweepPoint, total)
-	done := make([]bool, total)
-	errs := par.MapCtx(ctx, total, opts.Workers, func(ctx context.Context, k int) error {
-		i := opts.Start + k
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fault.Hit(ctx, fault.SiteSweepPoint); err != nil {
-			return err
-		}
-		w1 := W.MulInt(int64(i)).DivInt(int64(opts.Grid))
-		u, err := SplitUtility(ctx, m, g, v, w1)
-		if err != nil {
-			return err
-		}
-		pts[k] = sybil.SweepPoint{W1: w1, U: u}
-		done[k] = true
-		if opts.Progress != nil {
-			opts.Progress(i)
-		}
-		return nil
-	})
-	// Same failure classification as sybil.SweepInstanceCtx: context errors
-	// truncate to the completed prefix, anything else fails the call.
-	canceled := false
-	for k, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			canceled = true
-			continue
-		}
-		return nil, fmt.Errorf("mechanism: sweep point %d: %w", opts.Start+k, err)
+	return sybil.SweepSplit(ctx, g.Weight(v), honestAlloc.Utility(v), Splitter(m, g, v), opts)
+}
+
+// Splitter is the split kernel of agent v on ring g under m: one
+// SplitUtility evaluation per point.
+func Splitter(m Mechanism, g *graph.Graph, v int) sybil.SplitFunc {
+	return func(ctx context.Context, w1 numeric.Rat) (numeric.Rat, error) {
+		return SplitUtility(ctx, m, g, v, w1)
 	}
-	completed := total
-	if canceled {
-		completed = 0
-		for completed < total && done[completed] {
-			completed++
-		}
-	}
-	res := &sybil.SweepResult{
-		Points:    pts[:completed],
-		Honest:    honest,
-		Partial:   completed < total,
-		Start:     opts.Start,
-		NextIndex: opts.Start + completed,
-	}
-	if completed > 0 {
-		res.BestW1, res.BestU = res.Points[0].W1, res.Points[0].U
-		for i, p := range res.Points[1:] {
-			if res.BestU.Less(p.U) {
-				res.BestW1, res.BestU, res.BestIndex = p.W1, p.U, i+1
-			}
-		}
-	}
-	switch {
-	case res.Honest.Sign() > 0:
-		res.Ratio = res.BestU.Div(res.Honest)
-	case res.BestU.Sign() > 0:
-		return nil, fmt.Errorf("mechanism: positive attack utility %v from zero honest utility", res.BestU)
-	default:
-		res.Ratio = numeric.One
-	}
-	return res, nil
 }
 
 // SplitUtility evaluates one two-identity split under m: build the split
 // path graph with v's weight divided (w1, W−w1) and sum the utilities of
-// the two attacker identities. It is the per-point kernel of the generic
-// RingSweep, exported so point-at-a-time drivers (the durable sweep job)
-// can checkpoint between evaluations.
+// the two attacker identities. It is the per-point kernel of Splitter.
 func SplitUtility(ctx context.Context, m Mechanism, g *graph.Graph, v int, w1 numeric.Rat) (numeric.Rat, error) {
 	W := g.Weight(v)
 	path, _, v1, v2, err := graph.TwoSplitOnRing(g, v, w1, W.Sub(w1))

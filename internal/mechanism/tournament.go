@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/sybil"
 )
 
@@ -94,8 +95,9 @@ func ResolveSet(names []string) ([]string, error) {
 
 // EvaluateCell runs one (instance, mechanism) cell: the honest allocation's
 // efficiency and fairness, then the full Sybil sweep for the empirical
-// incentive ratio. It is the unit of work the durable tournament job
-// checkpoints on, so it must stay deterministic and self-contained.
+// incentive ratio. It is one point of a TournamentScan, the unit of work
+// the durable tournament job checkpoints on, so it must stay deterministic
+// and self-contained.
 func EvaluateCell(ctx context.Context, m Mechanism, g *graph.Graph, v int, grid, workers int) (Cell, error) {
 	a, err := m.Allocate(ctx, g)
 	if err != nil {
@@ -147,38 +149,60 @@ func Tournament(ctx context.Context, instances []TournamentInstance, opts Tourna
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("mechanism: tournament needs at least one instance")
 	}
-	cells := make([][]Cell, len(instances))
-	for i, inst := range instances {
-		cells[i] = make([]Cell, len(names))
-		for j, name := range names {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			m, err := Get(name)
-			if err != nil {
-				return nil, err
-			}
-			cell, err := EvaluateCell(ctx, m, inst.G, inst.V, opts.Grid, opts.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("instance %d: %w", i, err)
-			}
-			cells[i][j] = cell
-		}
+	sc := &TournamentScan{Instances: instances, Names: names, Grid: opts.Grid, Workers: opts.Workers}
+	res, err := scan.Run[Cell](ctx, sc, scan.Options[Cell]{})
+	if err != nil {
+		return nil, err
 	}
-	return Summarize(names, opts.Grid, cells), nil
+	if res.Partial {
+		return nil, ctx.Err()
+	}
+	return sc.Fold(res.Points), nil
 }
 
-// Summarize assembles the TournamentResult from an already-evaluated cell
-// matrix (Cells[i][j] = instance i, mechanism names[j]). The durable
-// tournament job calls it after replaying checkpointed cells, so summaries
-// from a resumed job are bit-identical to an uninterrupted run.
-func Summarize(names []string, grid int, cells [][]Cell) *TournamentResult {
-	res := &TournamentResult{Mechanisms: names, Grid: grid, Cells: cells}
-	for j, name := range names {
+// TournamentScan is a tournament as a scan: cell k is instance k/len(Names)
+// under mechanism Names[k%len(Names)] (row-major), so an index addresses
+// the same cell in every process that resumes the tournament.
+type TournamentScan struct {
+	Instances []TournamentInstance
+	Names     []string
+	Grid      int
+	// Workers bounds each cell's sweep parallelism (≤ 0 = GOMAXPROCS).
+	Workers int
+}
+
+// Len is the cell count.
+func (t *TournamentScan) Len() int { return len(t.Instances) * len(t.Names) }
+
+// Eval evaluates cell k.
+func (t *TournamentScan) Eval(ctx context.Context, k int) (Cell, error) {
+	i, j := k/len(t.Names), k%len(t.Names)
+	m, err := Get(t.Names[j])
+	if err != nil {
+		return Cell{}, err
+	}
+	cell, err := EvaluateCell(ctx, m, t.Instances[i].G, t.Instances[i].V, t.Grid, t.Workers)
+	if err != nil {
+		return Cell{}, fmt.Errorf("instance %d: %w", i, err)
+	}
+	return cell, nil
+}
+
+// Fold assembles the TournamentResult from the full row-major cell list:
+// the cell matrix plus per-mechanism summaries. A resumed tournament folds
+// its checkpointed cells with the new ones, bit-identically to an
+// uninterrupted run.
+func (t *TournamentScan) Fold(cells []Cell) *TournamentResult {
+	nm := len(t.Names)
+	res := &TournamentResult{Mechanisms: t.Names, Grid: t.Grid, Cells: make([][]Cell, len(cells)/nm)}
+	for i := range res.Cells {
+		res.Cells[i] = cells[i*nm : (i+1)*nm]
+	}
+	for j, name := range t.Names {
 		s := MechanismSummary{Mechanism: name}
 		sum := numeric.Zero
-		for i := range cells {
-			c := cells[i][j]
+		for i := range res.Cells {
+			c := res.Cells[i][j]
 			s.Instances++
 			sum = sum.Add(c.Ratio)
 			if s.Instances == 1 {

@@ -109,7 +109,7 @@ func FuzzScenarioRequest(f *testing.F) {
 			return
 		}
 		rec := httptest.NewRecorder()
-		spec, _, _, ok := srv.validateScenario(rec, &req)
+		spec, _, ok := srv.validateScenario(rec, &req)
 		if ok {
 			if spec.Kind == "" || spec.Total < 1 || spec.Total > maxScenarioPoints {
 				t.Fatalf("accepted spec out of bounds: %+v (body %q)", spec, body)

@@ -3,14 +3,16 @@ package server
 import "encoding/json"
 
 // Wire types of the /v1/jobs API: durable, resumable background jobs
-// executed by the scheduler in internal/jobs. Three kinds exist: "sweep"
-// (the default) walks one agent's split-utility curve under a chosen
-// mechanism; "enumerate" exhaustively certifies every small ring over a
-// rational lattice (internal/cert/enum); "tournament" evaluates every
-// selected mechanism on an instance set (internal/mechanism). Submission is
-// content-addressed — the job ID derives from the canonical parameters,
-// mechanism included — so resubmitting equivalent work returns the existing
-// job instead of duplicating it.
+// executed by the scheduler in internal/jobs. The kinds are the rows of the
+// job-kind table (jobKinds): "sweep" (the default) walks one agent's
+// split-utility curve under a chosen mechanism; "enumerate" exhaustively
+// certifies every small ring over a rational lattice (internal/cert/enum);
+// "tournament" evaluates every selected mechanism on an instance set
+// (internal/mechanism); "ksybil", "coalition" and "topology" run the
+// scenario scans (internal/scenario). Submission is content-addressed — the
+// job ID derives from the canonical parameters, mechanism included — so
+// resubmitting equivalent work returns the existing job instead of
+// duplicating it.
 
 // JobSubmitRequest is the body of POST /v1/jobs. Kind selects the job type:
 // "" or "sweep" runs the agent-V sweep of Graph at Grid+1 points (0 =
@@ -91,12 +93,12 @@ type enumJobSpec struct {
 
 // WireJob is the API view of one job. Points carries the checkpointed
 // prefix (indices [0, NextIndex)) and is populated only on the detail view;
-// for sweep jobs a point is (w1, u), for enumerate jobs it is (instance key,
-// certified ratio — or "!"-prefixed error), for tournament jobs it is
-// (row-major cell index, cell JSON). Result is the final body once the job
-// is done: a SweepResponse for sweeps (bit-identical to an uninterrupted
-// /v1/sweep of the same request), an enum.Summary for enumerations, or a
-// TournamentResponse for tournaments.
+// a point is in its kind's checkpoint encoding (see the kind's pointCodec).
+// Result is the final body once the job is done, bit-identical to the
+// inline answer of an uninterrupted run of the same request: a
+// SweepResponse for sweeps, an enum.Summary for enumerations, a
+// TournamentResponse for tournaments, a ScenarioResponse for the scenario
+// kinds.
 type WireJob struct {
 	ID          string           `json:"id"`
 	Kind        string           `json:"kind"`

@@ -21,6 +21,7 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 )
 
 // HonestUtility returns U_v(G; w) under the BD Allocation Mechanism.
@@ -159,7 +160,7 @@ func Search(g *graph.Graph, v int, opts SearchOptions) (*SearchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &SearchResult{Honest: honest, Best: honest, Ratio: numeric.One}
+	res := &SearchResult{Honest: honest, Best: honest}
 	res.Spec = graph.SplitSpec{
 		V:       v,
 		Parts:   [][]int{append([]int(nil), g.Neighbors(v)...)},
@@ -184,10 +185,8 @@ func Search(g *graph.Graph, v int, opts SearchOptions) (*SearchResult, error) {
 			}
 		}
 	}
-	if honest.Sign() > 0 {
-		res.Ratio = res.Best.Div(honest)
-	} else if res.Best.Sign() > 0 {
-		return nil, fmt.Errorf("sybil: attacker gains %v from zero honest utility (unbounded ratio)", res.Best)
+	if res.Ratio, err = scan.Ratio(res.Best, honest); err != nil {
+		return nil, fmt.Errorf("sybil: %w", err)
 	}
 	return res, nil
 }
