@@ -50,34 +50,17 @@ func maxBottleneck(ctx context.Context, g *graph.Graph, o minimizeOracle, iterTr
 		all[i] = i
 	}
 	lambda := g.WeightOf(g.NeighborhoodSet(all)).Div(wV) // α(V) ≤ 1
-	return maxBottleneckFrom(ctx, g, o, lambda, false, iterTrace)
+	return dinkelbachLoop(ctx, g.N(), g.WeightOf, o, lambda, false, iterTrace)
 }
 
-// maxBottleneckWarm runs maxBottleneck but first tries the supplied warm
-// start λ0 (typically the λ* of a structurally nearby instance). Any
-// λ0 ≥ λ* converges to the identical (λ*, maximal bottleneck) fixed point —
-// the optimum is unique, so warm starting can change only the iterate path,
-// never the answer. A λ0 that undershoots λ* is detected (the subproblem
-// minimum is 0 yet no positive-weight set attains it) and the search
-// restarts from the cold λ = α(V).
-func maxBottleneckWarm(ctx context.Context, g *graph.Graph, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
-	if warm.Sign() > 0 && warm.Cmp(numeric.One) <= 0 {
-		alpha, S, err := maxBottleneckFrom(ctx, g, o, warm, true, nil)
-		if err == nil {
-			return alpha, S, true, nil
-		}
-		if !errors.Is(err, errWarmTooLow) {
-			return numeric.Rat{}, nil, false, err
-		}
-	}
-	alpha, S, err := maxBottleneck(ctx, g, o, nil)
-	return alpha, S, false, err
-}
-
-// maxBottleneckWarmAt is maxBottleneckWarm for callers that have no
-// materialized graph: the vertex count, the weight function and the cold
-// starting iterate α(V) are supplied directly. The loop is byte-identical
-// to the graph-backed path.
+// maxBottleneckWarmAt runs the Dinkelbach loop over n vertices weighed by
+// weightOf, first from the supplied warm start λ0 (typically the λ* of a
+// structurally nearby instance). Any λ0 ≥ λ* converges to the identical
+// (λ*, maximal bottleneck) fixed point — the optimum is unique, so warm
+// starting can change only the iterate path, never the answer. A λ0 that
+// undershoots λ* is detected (the subproblem minimum is 0 yet no
+// positive-weight set attains it) and the search restarts from the cold
+// iterate alphaV = α(V). The loop is byte-identical to maxBottleneck's.
 func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeric.Rat, alphaV numeric.Rat, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
 	if warm.Sign() > 0 && warm.Cmp(numeric.One) <= 0 {
 		alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, warm, true, nil)
@@ -90,13 +73,6 @@ func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeri
 	}
 	alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, alphaV, false, nil)
 	return alpha, S, false, err
-}
-
-// maxBottleneckFrom is the Dinkelbach loop body with an explicit starting
-// λ. With warm set, an undershooting start is reported as errWarmTooLow
-// instead of a hard failure.
-func maxBottleneckFrom(ctx context.Context, g *graph.Graph, o minimizeOracle, lambda numeric.Rat, warm bool, iterTrace func(lambda, value numeric.Rat)) (numeric.Rat, []int, error) {
-	return dinkelbachLoop(ctx, g.N(), g.WeightOf, o, lambda, warm, iterTrace)
 }
 
 // dinkelbachLoop is the graph-agnostic Dinkelbach iteration: only the vertex

@@ -34,7 +34,7 @@ import (
 //     excellent starting iterate: most warm starts converge in one or two
 //     iterations. Warm starting cannot change the answer — any start
 //     λ0 ≥ λ* reaches the same unique fixed point, and undershooting
-//     starts are detected and restarted cold (see maxBottleneckWarm).
+//     starts are detected and restarted cold (see maxBottleneckWarmAt).
 //  3. Tail caching. The stage recursion of Definition 2 is Markovian in
 //     the residual vertex set: once both endpoints have been extracted,
 //     the remaining pair sequence depends only on the (fixed-weight)

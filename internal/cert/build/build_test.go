@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/sybil"
 )
 
@@ -126,7 +127,8 @@ func TestSweepCertPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: 8, Start: 3})
+	gs := sybil.GridScan{W: in.W(), Grid: 8, Split: sybil.InstanceSplit(in)}
+	res, err := sybil.Sweep(ctx, gs, in.HonestU, scan.Options[sybil.SweepPoint]{Start: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

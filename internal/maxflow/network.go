@@ -96,12 +96,6 @@ func NewNetwork(n, s, t int) *Network {
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.n }
 
-// Source returns the source node.
-func (nw *Network) Source() int { return nw.s }
-
-// Sink returns the sink node.
-func (nw *Network) Sink() int { return nw.t }
-
 // AddEdge adds a directed arc u → v with capacity c and returns its edge id,
 // usable with Flow after solving.
 func (nw *Network) AddEdge(u, v int, c Cap) int {
@@ -170,11 +164,6 @@ func (nw *Network) push(id int, f numeric.Rat) {
 	nw.arcs[id^1].flow = nw.arcs[id^1].flow.Sub(f)
 	nw.pushes++
 }
-
-// Pushes returns the number of elementary flow pushes performed by the most
-// recent solve — a machine-independent work measure for traces and
-// benchmark tables.
-func (nw *Network) Pushes() int64 { return nw.pushes }
 
 // Algorithm selects a max-flow solver.
 type Algorithm int

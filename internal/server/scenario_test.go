@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/cert"
 )
@@ -275,4 +276,59 @@ func TestJobListKindFilter(t *testing.T) {
 	if resp := jobsGet(t, ts.URL+"/v1/jobs?kind=quantum", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kind filter: %d", resp.StatusCode)
 	}
+}
+
+// TestScenarioScanSpans: every scenario scan the server runs — inline
+// /v1/scenario and the durable job of the same kind — is recorded as the
+// engine's "scenario.<kind>" span, under server.compute for the inline
+// request and under jobs.<kind> for the job.
+func TestScenarioScanSpans(t *testing.T) {
+	srv, ts := jobsTestServer(t)
+	ring := WireGraph{Ring: []string{"3", "1", "4", "1", "5"}}
+	reqs := []ScenarioRequest{
+		{Kind: "ksybil", Graph: ring, V: 2, K: 3, Grid: 4},
+		{Kind: "coalition", Graph: ring, Members: []int{0, 2}, Grid: 2},
+		{Kind: "topology", Families: []string{"ring"}, Count: 1, N: 5, Grid: 2},
+	}
+	for _, req := range reqs {
+		status, raw, id := postTraced(t, ts.URL, "/v1/scenario", req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %s", req.Kind, status, raw)
+		}
+		code, snap := getTrace(t, ts.URL, id)
+		if code != http.StatusOK {
+			t.Fatalf("%s trace: %d", req.Kind, code)
+		}
+		sp := snap.Root.Find("server.compute").Find("scenario." + req.Kind)
+		if sp == nil || sp.Attr("mechanism") != "bd" {
+			t.Fatalf("%s: inline trace lacks the scenario span: %v", req.Kind, snap.Root)
+		}
+
+		resp, body := jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Kind: req.Kind, Scenario: &req})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s job: %d %s", req.Kind, resp.StatusCode, body)
+		}
+		var sub JobSubmitResponse
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		waitJobState(t, ts.URL, sub.Job.ID, "done")
+		if !jobTraceHas(srv, "jobs."+req.Kind, "scenario."+req.Kind) {
+			t.Fatalf("%s: no job trace holds the scenario span", req.Kind)
+		}
+	}
+}
+
+// jobTraceHas reports whether a retained "jobs.run" trace holds span child
+// under span parent, waiting briefly for the trace to finish.
+func jobTraceHas(srv *Server, parent, child string) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for id := uint64(srv.Collector().Stats().Finished) + 8; id > 0; id-- {
+			snap, ok := srv.Collector().Get(id)
+			if ok && snap.Name == "jobs.run" && snap.Root.Find(parent).Find(child) != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
